@@ -2,7 +2,7 @@
 
 Unlike the paper-reproduction benchmarks (which check *simulated* Hadoop
 metrics), this benchmark measures *actual* elapsed time: the same generated
-workload is executed on the multiprocessing backend with a single worker and
+workload is executed on the multi-process backend with a single worker and
 with ``PARALLEL_WORKERS`` workers, and the wall-clock speedup is reported.
 Output relations and simulated metrics must be bit-identical across all runs
 — the backends only differ in where the map/reduce functions execute.
@@ -10,7 +10,7 @@ Output relations and simulated metrics must be bit-identical across all runs
 The speedup assertion is gated on the host's CPU count: real parallel
 speedup is physically impossible on a single core, so there the benchmark
 only records the measurement (and checks parity).  The workload size can be
-scaled through ``REPRO_BENCH_PARALLEL_TUPLES`` to keep pool-startup overhead
+scaled through ``REPRO_BENCH_PARALLEL_TUPLES`` to keep worker-startup overhead
 amortised on slower machines.
 """
 
@@ -26,13 +26,13 @@ from repro.workloads.scaling import ScaledEnvironment
 #: Worker count of the "many workers" configuration (the acceptance setup).
 PARALLEL_WORKERS = 4
 
-#: Guard-relation cardinality; large enough that map work dominates the pool
+#: Guard-relation cardinality; large enough that map work dominates the worker
 #: startup and IPC overheads on a typical multi-core machine.
 DEFAULT_TUPLES = int(os.environ.get("REPRO_BENCH_PARALLEL_TUPLES", 8_000))
 
 
 def _execute_on(backend, queries, database, warmup_database):
-    """Warm the backend's pool on a tiny run, then execute the real workload."""
+    """Warm the backend's workers on a tiny run, then execute the real workload."""
     gumbo = Gumbo(backend=backend)
     gumbo.execute(queries, warmup_database, "par")
     return gumbo.execute(queries, database, "par")

@@ -29,17 +29,18 @@ remain fully supported underneath it.
 Execution backends
 ------------------
 Plans run on a pluggable execution backend (:mod:`repro.exec`): ``"serial"``
-executes every task in-process on the simulator (the default), ``"parallel"``
-fans map tasks and reduce partitions out across a true ``multiprocessing``
-worker pool, ``"sql"`` compiles jobs to sqlite3, and ``"sharded"`` serves
-from long-lived worker processes each holding a hash-partitioned shard of
-the database warm (see :mod:`repro.service.sharded` and ``docs/service.md``)
-— same outputs, same simulated metrics on every backend, plus measured
-wall-clock times.  Select one with ``repro.connect(db, backend="sharded",
-shards=4)``, per :class:`Gumbo` instance (``Gumbo(backend="parallel",
-workers=4)``), through :class:`GumboOptions(backend=...) <GumboOptions>`, or
-on the command line with ``repro query --backend parallel --workers 4``;
-``repro bench`` compares the backends head to head.
+executes every task in-process on the simulator (the default), ``"sql"``
+compiles jobs to sqlite3, and ``"sharded"`` fans map tasks and reduce
+partitions out to long-lived worker processes each holding a
+hash-partitioned shard of the database warm; ``"parallel"`` is the same
+worker cluster sized by a worker count (see :mod:`repro.service.sharded` and
+``docs/service.md``) — same outputs, same simulated metrics on every
+backend, plus measured wall-clock times. Select one with ``repro.connect(db,
+backend="sharded", shards=4)``, per :class:`Gumbo` instance
+(``Gumbo(backend="parallel", workers=4)``), through
+:class:`GumboOptions(backend=...) <GumboOptions>`, or on the command line
+with ``repro query --backend parallel --workers 4``; ``repro bench``
+compares the backends head to head.
 """
 
 from .client import Connection, Result, connect

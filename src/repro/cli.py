@@ -39,7 +39,7 @@ The subcommands (``python -m repro <command> --help``):
 
 ``bench``
     Run a generated workload on both execution backends (serial simulation vs
-    the multiprocessing runtime) and print a comparison table: simulated total
+    the multi-process parallel backend) and print a comparison table: simulated total
     and net times, measured wall-clock times, and the parallel speedup.
     ``--kernels`` instead races the interpreted vs the batch-kernel path;
     ``--sql`` races the serial interpreter vs the sqlite3 SQL backend — both
@@ -651,8 +651,9 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default="serial",
         choices=list(BACKEND_NAMES),
-        help="execution backend: serial simulation, the multiprocessing "
-        "runtime, or the sqlite3 SQL compiler (default serial)",
+        help="execution backend: serial simulation, the multi-process "
+        "shard cluster (parallel/sharded), or the sqlite3 SQL compiler "
+        "(default serial)",
     )
     parser.add_argument(
         "--workers",

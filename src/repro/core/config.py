@@ -19,7 +19,7 @@ share now:
 
 Validation happens at construction: unknown backends, non-positive worker/
 shard/node counts and unknown kernel modes all raise ``ValueError`` here,
-before any engine or process pool exists.
+before any engine or worker process exists.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ExecutionConfig:
         Canonical backend name (aliases like ``"mp"`` or ``"sqlite3"`` are
         normalised at construction).
     workers:
-        Worker-pool size for the parallel backend (None → CPU count).
+        Worker-process count for the parallel backend (None → CPU count).
     shards:
         Persistent worker count for the sharded backend (None → its
         default of 2).

@@ -3,7 +3,7 @@
 The options bundle is passed to every job builder and plan strategy so that
 individual optimisations can be switched off for the ablation benchmarks.
 It also carries the *execution backend* selection (serial in-process
-simulation vs the true multiprocessing runtime), so backend choice threads
+simulation vs the multi-process shard cluster), so backend choice threads
 through :class:`~repro.core.gumbo.Gumbo` and the dynamic executor the same
 way the optimisation switches do.
 """
@@ -41,13 +41,13 @@ class GumboOptions:
         it off even there.
     backend:
         The execution backend plans run on: ``"serial"`` (the in-process
-        simulator, the default), ``"parallel"`` (the multiprocessing
-        runtime) or ``"sql"`` (sqlite3 compilation with interpreted
+        simulator, the default), ``"parallel"``/``"sharded"`` (the
+        multi-process shard cluster) or ``"sql"`` (sqlite3 compilation with interpreted
         fallback).  Not an optimisation — output relations and simulated
         metrics are identical on every backend — but carried here so backend
         choice flows through the same plumbing.
     workers:
-        Worker-pool size for the parallel backend (None → CPU count).
+        Worker-process count for the parallel backend (None → CPU count).
     shards:
         Persistent worker count for the sharded backend (None → its default
         of 2); each worker owns a hash-partitioned shard of the database,
@@ -71,9 +71,9 @@ class GumboOptions:
         The batch ("kernel") execution path selector (see
         :mod:`repro.mapreduce.kernels`): ``"auto"`` (the default) evaluates
         kernel-capable jobs set-at-a-time on the in-process serial engine
-        while the parallel backend keeps its task fan-out; ``"on"`` forces
-        the kernel wherever the job supports it (including on the parallel
-        backend, which then runs the job in-process); ``"off"`` always
+        while the multi-process backends keep their task fan-out; ``"on"``
+        forces the kernel wherever the job supports it (including on the
+        multi-process backends, which then run the job in-process); ``"off"`` always
         interprets tuple-at-a-time.  Outputs and simulated metrics are
         identical in every mode — only wall-clock speed changes.
     trace:

@@ -6,21 +6,20 @@ DAGs) and *running*:
 
 * ``"serial"`` — :class:`SimulatedBackend`, the seed's serial in-process
   engine behind the backend interface;
-* ``"parallel"`` — :class:`ParallelBackend`, a true ``multiprocessing``
-  runtime that fans map tasks and reduce partitions out across a worker
-  pool with a hash-partitioned shuffle, wave-scheduled on the simulated
-  cluster's task slots;
 * ``"sql"`` — :class:`SQLBackend`, which compiles SQL-expressible jobs to
   queries over an in-memory or on-disk sqlite3 database and falls back to
   the interpreted engine per job where it cannot;
 * ``"sharded"`` — :class:`ShardedBackend` (from
-  :mod:`repro.service.sharded`), the persistent service tier: long-lived
+  :mod:`repro.service.sharded`), the one multi-process runtime: long-lived
   worker processes each holding a hash-partitioned shard of the database
-  warm across requests, spoken to over length-prefixed RPC.
+  warm across requests, spoken to over length-prefixed RPC, with map tasks
+  and reduce partitions fanned out over a hash-partitioned shuffle;
+* ``"parallel"`` — :class:`ParallelBackend`, the same shard cluster under
+  another name, sized by ``workers`` (default: the CPU count).
 
 All backends produce bit-identical output relations and simulated Hadoop
-metrics; the parallel backend additionally uses real hardware parallelism
-and records measured wall-clock times per wave and per job.  Select a
+metrics; the multi-process backends additionally use real hardware
+parallelism and record measured wall-clock times per wave and per job.  Select a
 backend by name through :func:`make_backend`,
 :class:`~repro.core.gumbo.Gumbo`, or the CLI's ``--backend`` flag.  See
 ``docs/backends.md`` for the full contract.

@@ -7,23 +7,23 @@ executed is an independent choice captured by :class:`ExecutionBackend`:
 * :class:`~repro.exec.simulated.SimulatedBackend` (``"serial"``) runs every
   task in-process on the serial :class:`~repro.mapreduce.engine.MapReduceEngine`
   — the seed behaviour, and the reference semantics;
-* :class:`~repro.exec.parallel.ParallelBackend` (``"parallel"``) fans map
-  tasks and reduce partitions out across a ``multiprocessing`` worker pool;
 * :class:`~repro.exec.sql.SQLBackend` (``"sql"``) compiles SQL-expressible
   jobs to queries over an in-memory or on-disk sqlite3 database, falling
   back to the interpreted engine per job where it cannot;
 * :class:`~repro.service.sharded.backend.ShardedBackend` (``"sharded"``)
-  fans tasks out to long-lived worker processes that each hold a
-  hash-partitioned shard of the database warm across requests (the
-  persistent service tier).
+  fans map tasks and reduce partitions out to long-lived worker processes
+  that each hold a hash-partitioned shard of the database warm across
+  requests (the one multi-process runtime);
+* :class:`~repro.exec.parallel.ParallelBackend` (``"parallel"``) is that
+  same runtime sized by a worker count instead of a shard count.
 
 Every backend returns the engine's :class:`~repro.mapreduce.engine.JobResult`
 / :class:`~repro.mapreduce.engine.ProgramResult` types with identical output
 relations and identical *simulated* Hadoop metrics; backends additionally
 stamp real wall-clock measurements (see
 :class:`~repro.mapreduce.counters.WallClockMetrics`) so simulated-vs-real
-speedup curves can be drawn.  Future runtimes (async, sharded, distributed)
-plug in by subclassing :class:`ExecutionBackend` and registering a name.
+speedup curves can be drawn.  Future runtimes plug in by subclassing
+:class:`ExecutionBackend` and registering a name.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class ExecutionBackend(ABC):
         """Execute an MR program level by level against *database*."""
 
     def close(self) -> None:
-        """Release any resources (worker pools); safe to call repeatedly."""
+        """Release any resources (worker processes); safe to call repeatedly."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -135,8 +135,8 @@ def make_backend(
             unchanged), or ``None`` for the serial default.
         engine: The engine the backend should account against (a
             paper-cluster default is created when omitted).
-        workers: Worker-pool size for the parallel backend (ignored by the
-            others; defaults to the machine's CPU count).
+        workers: Worker-process count for the parallel backend (ignored by
+            the others; defaults to the machine's CPU count).
         sql_db: On-disk scratch-database path for the SQL backend (ignored by
             the others; ``None`` keeps it in ``:memory:``).
         shards: Persistent worker count for the sharded backend (ignored by
@@ -170,7 +170,12 @@ def make_backend(
                 "an ExecutionBackend instance carries its own database path; "
                 "pass sql_db= only when selecting a backend by name"
             )
-        if shards is not None and shards != getattr(backend, "shards", shards):
+        # The parallel name is sized by workers= and ignores shards=.
+        if (
+            shards is not None
+            and backend.name != PARALLEL
+            and shards != getattr(backend, "shards", shards)
+        ):
             raise ValueError(
                 "an ExecutionBackend instance carries its own shard count; "
                 "pass shards= only when selecting a backend by name"

@@ -1,15 +1,15 @@
 """The shared-memory data plane: typed columns cross processes without copies.
 
 The hot path of the fan-out backends is no longer compute — it is *data
-movement*: every wave of the parallel backend ships its map chunks as pickled
-:meth:`~repro.model.relation.ColumnBlock.packed` payloads through
-``multiprocessing`` pipes, and the sharded tier re-serialises resident chunks
-over its RPC whenever a worker (re)loads them.  This module gives both
-transports a second plane: the typed ``array('q')``/``array('d')`` columns of
-a packed block are placed **once** into a ``multiprocessing.shared_memory``
-segment, and what crosses the process boundary is a tiny
-:class:`ShmPayload` descriptor.  Workers attach the segment and build
-memoryview-backed blocks — zero copies, identical values.
+movement*: the shard cluster ships program intermediates inline with their
+map tasks as pickled :meth:`~repro.model.relation.ColumnBlock.packed`
+payloads, and re-serialises resident chunks over its RPC whenever a worker
+(re)loads them.  This module gives that transport a second plane: the typed
+``array('q')``/``array('d')`` columns of a packed block are placed **once**
+into a ``multiprocessing.shared_memory`` segment, and what crosses the
+process boundary is a tiny :class:`ShmPayload` descriptor.  Workers attach
+the segment and build memoryview-backed blocks — zero copies, identical
+values.
 
 Three data planes are selectable (``--data-plane`` on the CLI,
 ``data_plane=`` on :func:`repro.connect` / the backends):
@@ -40,7 +40,7 @@ Ownership and crash-cleanup guarantees (see ``docs/dataplane.md``):
 * the **creating** process owns a segment: :class:`SegmentPool` names it
   ``repro_dp_*`` (so ``/dev/shm/repro_*`` is auditable), keeps it registered
   with the ``multiprocessing`` resource tracker as a crash backstop, and
-  unlinks it deterministically when its refcount drops (wave finished,
+  unlinks it deterministically when its refcount drops (task wave finished,
   resident version replaced, backend closed) or at interpreter exit;
 * **attaching** processes (workers) map the segment through a tracker-free
   ``shm_open``/``mmap`` path (:class:`_AttachedSegment`) instead of
@@ -406,7 +406,7 @@ def decode_payload(
 def payload_probe(payload: object) -> int:
     """Decode a data-plane payload and return its row count.
 
-    The benchmark helper (module-level so pool workers can import it):
+    The benchmark helper (module-level so worker processes can import it):
     measures the *shipping phase* — everything up to a usable
     :class:`ColumnBlock` in the worker — under either plane.  For pickle
     payloads that includes the pipe bytes, the unpickle and the

@@ -15,8 +15,8 @@ are reported:
 
 The oracle owns its execution backends (one engine shared by all of them, so
 simulated metrics are comparable) and reuses them across checks — the
-multiprocessing pool of the parallel backend is started once per campaign,
-not once per case.
+worker processes of the parallel and sharded backends are started once per
+campaign, not once per case.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class DifferentialOracle:
         every campaign cross-checks all three executors; add ``"sharded"``
         for the persistent worker-shard tier as a fourth axis).
     workers:
-        Worker-pool size for the parallel backend (None → CPU count).
+        Worker-process count for the parallel backend (None → CPU count).
     shards:
         Persistent worker count for the sharded backend (None → its default).
     sql_db:
@@ -145,7 +145,7 @@ class DifferentialOracle:
         }
         # One axis per (backend, kernel mode): the plain axes pin the
         # interpreted path, the +kernel axes force the batch path; both share
-        # the physical backend (and thus one parallel worker pool).
+        # the physical backend (and thus one set of worker processes).
         axes = [
             (name, backend, GumboOptions(kernel_mode=KERNEL_OFF))
             for name, backend in self._physical.items()
@@ -170,7 +170,7 @@ class DifferentialOracle:
         return tuple(self._backends)
 
     def close(self) -> None:
-        """Release backend resources (the parallel worker pool)."""
+        """Release backend resources (the worker processes)."""
         for backend in self._physical.values():
             backend.close()
 

@@ -157,11 +157,11 @@ def _adversarial_value(draw: int) -> object:
 
     The mapping is a pure function of the draw, so equal draws produce equal
     values in every relation — join keys stay joinable across the mixed-type
-    columns.  NaN is deliberately absent: the parallel backend pickles rows
-    per task, which clones a NaN into distinct objects that no longer compare
-    equal anywhere (a genuine property of ``float("nan")``, not a bug), so
-    NaN parity is covered by in-process unit tests instead
-    (``tests/test_kernels.py``).
+    columns.  NaN is deliberately absent: the multi-process backends pickle
+    rows across the process boundary, which clones a NaN into distinct
+    objects that no longer compare equal anywhere (a genuine property of
+    ``float("nan")``, not a bug), so NaN parity is covered by in-process
+    unit tests instead (``tests/test_kernels.py``).
     """
     kind = draw % 4
     if kind == 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..cost.constants import (
     CostConstants,
@@ -59,8 +59,8 @@ _stable_hash = stable_hash
 #: Process-global execution counters (see :mod:`repro.obs.metrics`), created
 #: once at import so per-job recording is a single locked add.  The dispatch
 #: counters are bumped at the three dispatch sites (interpreted here, kernel
-#: in :meth:`MapReduceEngine.run_job_kernel`, fan-out in the parallel
-#: backend); the byte/row counters in :meth:`finalise_job_metrics`, which
+#: in :meth:`MapReduceEngine.run_job_kernel`, fan-out in the multi-process
+#: ``ShardedBackend``); the byte/row counters in :meth:`finalise_job_metrics`, which
 #: every backend funnels through.
 _JOBS_INTERPRETED = obs_metrics.default_registry().counter(
     "repro_jobs_total", path="interpreted"
@@ -441,7 +441,10 @@ class MapReduceEngine:
     # -- programs ---------------------------------------------------------------------
 
     def run_program(
-        self, program: MRProgram, database: Database
+        self,
+        program: MRProgram,
+        database: Database,
+        _run_job: Optional[Callable[[MapReduceJob, Database], JobResult]] = None,
     ) -> ProgramResult:
         """Execute an MR program level by level.
 
@@ -449,7 +452,11 @@ class MapReduceEngine:
         slots; the level's net time is one job-startup overhead plus the map
         makespan plus the reduce makespan.  Outputs become visible to the next
         level (they are added to a working copy of the database).
+
+        ``_run_job`` is private: a fan-out backend passes its own per-job
+        runner so that it shares this level loop (default :meth:`run_job`).
         """
+        run_job = _run_job or self.run_job
         program.validate()
         working = database.copy()
         all_outputs: Dict[str, Relation] = {}
@@ -466,7 +473,7 @@ class MapReduceEngine:
                 level_results: List[JobResult] = []
                 with obs.span("level", index=level_index, jobs=len(level_jobs)):
                     for job in level_jobs:
-                        result = self.run_job(job, working)
+                        result = run_job(job, working)
                         level_results.append(result)
                         metrics.add_job(result.metrics)
                         level_map_tasks.extend(result.metrics.map_task_durations)

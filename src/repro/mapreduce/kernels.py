@@ -21,9 +21,9 @@ A kernel-capable job implements three methods (see
   output relations, returning ``{relation name: iterable of rows}``.
 
 Kernels run *in-process* on the driver and ship nothing: the shared-memory
-data plane (``docs/dataplane.md``) applies only to the fan-out paths — the
-parallel backend's pool tasks and the sharded tier's resident/inline
-payloads — where chunks actually cross a process boundary.  A kernelised
+data plane (``docs/dataplane.md``) applies only to the fan-out path — the
+shard cluster's resident and inline payloads — where chunks actually cross
+a process boundary.  A kernelised
 job on those backends short-circuits the fan-out entirely, so the two
 optimisations compose rather than overlap.
 
@@ -39,11 +39,12 @@ Mode selection (``GumboOptions.kernel_mode``, carried by the job's options):
 
 * ``"off"``  — always interpret;
 * ``"auto"`` (default) — use the kernel wherever the job supports it on the
-  in-process serial engine; the parallel backend keeps its per-task fan-out
+  in-process serial engine; the multi-process backends keep their per-task
+  fan-out
   (a batch kernel is a single-process algorithm — fanning it out would just
   re-serialise the relation);
 * ``"on"``   — use the kernel wherever the job supports it, *including* on
-  the parallel backend (which then runs the job in-process instead of
+  the multi-process backends (which then run the job in-process instead of
   fanning out).
 
 Jobs that implement no kernel (the Hive/Pig baseline jobs, user-defined
@@ -91,8 +92,8 @@ def job_kernel_mode(job: MapReduceJob) -> str:
 def use_kernel(job: MapReduceJob, fanout: bool = False) -> bool:
     """Whether *job* should run through the batch kernel path.
 
-    *fanout* is True when the caller is a fan-out backend (the parallel
-    runtime): there only an explicit ``"on"`` engages the kernel, so that
+    *fanout* is True when the caller is a fan-out backend (the multi-process
+    shard cluster): there only an explicit ``"on"`` engages the kernel, so that
     ``"auto"`` preserves real task-level parallelism.
     """
     mode = job_kernel_mode(job)

@@ -21,8 +21,8 @@ derived, cached views:
 * :meth:`Relation.columns` — a :class:`ColumnBlock`, the column-major view of
   the sorted rows.  The batch-kernel path slices join keys and projections
   out of it as whole columns (one C-level ``zip`` per batch instead of a
-  Python-level itemgetter per row), and the parallel backend ships map chunks
-  as typed packed columns (``array('q')``/``array('d')``) instead of pickling
+  Python-level itemgetter per row), and the multi-process backends ship map
+  chunks as typed packed columns (``array('q')``/``array('d')``) instead of pickling
   row tuples one by one.
 
 Both caches invalidate on mutation and are shared across copy-on-write

@@ -18,7 +18,7 @@ gates that this stays negligible.
 
 Timestamps come from :func:`time.perf_counter`, which on the platforms we
 run on is ``CLOCK_MONOTONIC``: values are comparable across processes of the
-same machine/boot, which is what lets the parallel backend's *worker-side*
+same machine/boot, which is what lets the multi-process backends' *worker-side*
 spans (shipped back as plain dicts, see :func:`worker_payload` /
 :meth:`Tracer.adopt_payload`) land on the same timeline as the parent's.
 """

@@ -1,8 +1,9 @@
-"""The ``"sharded"`` execution backend: persistent workers, warm shards.
+"""The multi-process execution backend: persistent workers, warm shards.
 
 :class:`ShardedBackend` plugs the shard cluster into the execution-backend
-seam.  Where the parallel backend ships every map chunk to a stateless pool
-worker on every run, this backend *places* chunks: chunk ``i`` of relation
+seam.  It is the repo's one multi-process runtime: the ``"sharded"`` name
+and the ``"parallel"`` name (:class:`~repro.exec.parallel.ParallelBackend`,
+a subclass sized by ``workers``) both run here.  Chunk ``i`` of relation
 ``R`` permanently belongs to shard ``shard_for_chunk("R", i, shards)``
 (a pure function of :func:`~repro.exec.partition.stable_hash`), the owning
 worker keeps the chunk's :class:`~repro.model.relation.ColumnBlock` resident
@@ -11,9 +12,10 @@ of carrying rows.  Reduce buckets are placed the same way by bucket index.
 
 Bit-identical parity with the serial reference is inherited, not re-proven:
 the chunk boundaries are the serial engine's own strided chunks, the
-map/combine/byte arithmetic on the worker is the parallel backend's task
-arithmetic, results merge in task order, the shuffle sorts and partitions
-with the shared helpers, and all simulated metrics funnel through
+map/combine/byte arithmetic on the worker is the serial engine's recipe,
+results merge in task order, the shuffle sorts and partitions with the
+shared helpers, programs run through the engine's own level loop, and all
+simulated metrics funnel through
 :meth:`~repro.mapreduce.engine.MapReduceEngine.finalise_job_metrics`.  Only
 wall-clock metrics (and which process computed what) differ.
 
@@ -47,7 +49,7 @@ from ...exec.shm import (
     normalise_data_plane,
     payload_segment,
 )
-from ...mapreduce.counters import PartitionMetrics, ProgramMetrics, WallClockMetrics
+from ...mapreduce.counters import PartitionMetrics, WallClockMetrics
 from ...mapreduce.engine import (
     JobResult,
     MapReduceEngine,
@@ -68,10 +70,10 @@ from .rpc import MapTask, ReduceTask, TaskDone
 
 _MB = 1024.0 * 1024.0
 
-#: Jobs run through the sharded fan-out (kernel-path jobs are counted by the
-#: engine as ``path="kernel"``, like on the parallel backend).
-_JOBS_SHARDED = obs_metrics.default_registry().counter(
-    "repro_jobs_total", path="sharded"
+#: Jobs run through the worker fan-out (kernel-path jobs are counted by the
+#: engine as ``path="kernel"``).
+_JOBS_FANOUT = obs_metrics.default_registry().counter(
+    "repro_jobs_total", path="fanout"
 )
 
 
@@ -84,12 +86,10 @@ class ShardedBackend(ExecutionBackend):
         The engine supplying cluster config, constants and the simulated
         metric accounting (paper-cluster default when omitted).
     shards:
-        Number of long-lived worker processes (default 2).  Unlike the
-        parallel pool this is a *placement* parameter: outputs and simulated
-        metrics are identical for every value, but which worker holds which
-        chunk — and therefore what stays warm — follows from it.
-    start_method:
-        ``multiprocessing`` start method (platform default when omitted).
+        Number of long-lived worker processes (default 2).  This is a
+        *placement* parameter: outputs and simulated metrics are identical
+        for every value, but which worker holds which chunk — and therefore
+        what stays warm — follows from it.
     cluster:
         An existing :class:`ShardCluster` to drive (it is then *not* owned:
         :meth:`close` leaves it running).  Mutually exclusive sizing with
@@ -106,7 +106,6 @@ class ShardedBackend(ExecutionBackend):
         self,
         engine: Optional[MapReduceEngine] = None,
         shards: Optional[int] = None,
-        start_method: Optional[str] = None,
         cluster: Optional[ShardCluster] = None,
         data_plane: Optional[str] = None,
     ) -> None:
@@ -129,7 +128,6 @@ class ShardedBackend(ExecutionBackend):
         else:
             self._cluster = ShardCluster(
                 shards if shards is not None else 2,
-                start_method=start_method,
                 data_plane=normalise_data_plane(data_plane),
             )
             self._owns_cluster = True
@@ -179,8 +177,9 @@ class ShardedBackend(ExecutionBackend):
         """Execute one MapReduce job across the shard workers.
 
         ``kernel_mode="on"`` jobs run through the engine's in-process batch
-        kernel, exactly as on the parallel backend — outputs and simulated
-        metrics are identical either way.
+        kernel instead of fanning out (the kernel is a single-process set
+        algorithm and beats the fan-out by a wide margin); ``"auto"`` keeps
+        the fan-out.  Outputs and simulated metrics are identical either way.
         """
         if use_kernel(job, fanout=True):
             start = perf_counter()
@@ -191,9 +190,9 @@ class ShardedBackend(ExecutionBackend):
                 elapsed_s=perf_counter() - start,
             )
             return result
-        _JOBS_SHARDED.inc()
+        _JOBS_FANOUT.inc()
         with obs.span(
-            "job", job_id=job.job_id, kind=type(job).__name__, path="sharded"
+            "job", job_id=job.job_id, kind=type(job).__name__, path="fanout"
         ) as job_span:
             start = perf_counter()
             wall = WallClockMetrics(backend=self.name, workers=self.shards)
@@ -216,19 +215,23 @@ class ShardedBackend(ExecutionBackend):
     def _dispatch(
         self, phase: str, tasks: List[Tuple[int, object]], wall: WallClockMetrics
     ) -> List[TaskDone]:
-        """Fan one phase's tasks out to their shards and adopt worker spans."""
+        """Fan one phase's tasks out to their shards as one wave.
+
+        Worker-side span payloads are re-parented under the ``wave`` span,
+        so the trace shows which worker process ran which task.
+        """
         if not tasks:
             return []
         tracer = obs.current_tracer()
         begin = perf_counter()
         with obs.span(
-            "shard_fanout", phase=phase, tasks=len(tasks), shards=self.shards
-        ) as fanout_span:
+            "wave", phase=phase, tasks=len(tasks), shards=self.shards
+        ) as wave_span:
             responses = self._cluster.run_tasks(tasks)
             if tracer is not None:
                 for response in responses:
                     if response.span is not None:
-                        tracer.adopt_payload(response.span, fanout_span.span_id)
+                        tracer.adopt_payload(response.span, wave_span.span_id)
         wall.record_wave(phase, len(tasks), perf_counter() - begin)
         return responses
 
@@ -242,8 +245,8 @@ class ShardedBackend(ExecutionBackend):
         """Fan the job's map chunks out to their owning shards, merge the shuffle.
 
         Chunk boundaries, task order and the merge order are exactly the
-        parallel backend's; the only difference is that resident chunks
-        travel as ``(relation, chunk, version)`` references.  Empty chunks
+        serial engine's; resident chunks travel as ``(relation, chunk,
+        version)`` references, others inline with their task.  Empty chunks
         (missing or empty input relations) produce no pairs by definition and
         are synthesised locally instead of crossing the wire.
         """
@@ -391,61 +394,19 @@ class ShardedBackend(ExecutionBackend):
     # -- programs -----------------------------------------------------------------
 
     def run_program(self, program: MRProgram, database: Database) -> ProgramResult:
-        """Execute an MR program level by level, mirroring the serial engine.
+        """Execute an MR program level by level on the engine's level loop.
 
         The base database is made resident up front (free when the workers
         are already warm from a previous request over the same data);
         intermediates produced between levels ship inline with their tasks.
         """
-        program.validate()
         start = perf_counter()
-        shipped = self.ensure_loaded(database)
-        working = database.copy()
-        all_outputs: Dict[str, Relation] = {}
-        metrics = ProgramMetrics(backend=self.name)
-        levels = program.levels()
-        metrics.rounds = len(levels)
-
-        with obs.span(
-            "program",
-            program=program.name,
-            jobs=len(program),
-            rounds=len(levels),
-            backend=self.name,
-            shards=self.shards,
-            shipped_relations=shipped,
-        ):
-            for level_index, level_jobs in enumerate(levels):
-                with obs.span("level", index=level_index, jobs=len(level_jobs)):
-                    level_map_tasks: List[float] = []
-                    level_reduce_tasks: List[float] = []
-                    level_results: List[JobResult] = []
-                    for job in level_jobs:
-                        result = self.run_job(job, working)
-                        level_results.append(result)
-                        metrics.add_job(result.metrics)
-                        level_map_tasks.extend(result.metrics.map_task_durations)
-                        level_reduce_tasks.extend(
-                            result.metrics.reduce_task_durations
-                        )
-                    for result in level_results:
-                        for name, relation in result.outputs.items():
-                            working.add_relation(relation)
-                            all_outputs[name] = relation
-                    metrics.level_net_times.append(
-                        self.engine.level_net_time(
-                            level_map_tasks, level_reduce_tasks
-                        )
-                    )
-
-        metrics.net_time = sum(metrics.level_net_times)
-        metrics.wall_elapsed_s = perf_counter() - start
-        return ProgramResult(
-            program=program,
-            outputs=all_outputs,
-            metrics=metrics,
-            database=working,
-        )
+        with obs.span("ship") as ship_span:
+            ship_span.set(relations=self.ensure_loaded(database))
+        result = self.engine.run_program(program, database, _run_job=self.run_job)
+        result.metrics.backend = self.name
+        result.metrics.wall_elapsed_s = perf_counter() - start
+        return result
 
     def __repr__(self) -> str:
         return f"ShardedBackend(shards={self.shards})"

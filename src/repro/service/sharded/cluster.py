@@ -109,8 +109,6 @@ class ShardCluster:
     ----------
     shards:
         Number of worker processes (each owns one shard).
-    start_method:
-        ``multiprocessing`` start method (platform default when omitted).
     data_plane:
         How chunk payloads cross the RPC boundary (``"shm"``/``"pickle"``/
         ``"auto"``, see :mod:`repro.exec.shm`).  On the shm plane resident
@@ -119,20 +117,10 @@ class ShardCluster:
         instead of re-shipping the rows.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        start_method: Optional[str] = None,
-        data_plane: str = "auto",
-    ) -> None:
+    def __init__(self, shards: int, data_plane: str = "auto") -> None:
         self.shards = max(1, int(shards))
         self.data_plane = normalise_data_plane(data_plane)
         self._segments = SegmentPool()
-        self._context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._workers: List[Optional[_Worker]] = [None] * self.shards
@@ -220,7 +208,7 @@ class ShardCluster:
 
     async def _spawn(self, shard: int, generation: int) -> _Worker:
         parent_sock, child_sock = socket.socketpair()
-        process = self._context.Process(
+        process = multiprocessing.Process(
             target=worker_main,
             args=(shard, child_sock),
             name=f"repro-shard-{shard}",

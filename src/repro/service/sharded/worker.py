@@ -1,9 +1,10 @@
 """The shard worker: a long-lived process owning one shard's warm state.
 
 Each worker runs :func:`worker_main` — a blocking recv loop over the private
-socket its parent handed it at spawn time.  Unlike the pool workers of the
-parallel backend (which receive a packed chunk with *every* task), a shard
-worker keeps the :class:`~repro.model.relation.ColumnBlock` chunks it owns
+socket its parent handed it at spawn time.  It is the one worker runtime
+of both multi-process backends (``"sharded"`` and ``"parallel"``), and this
+module holds the one copy of their map/reduce task code.  A shard worker
+keeps the :class:`~repro.model.relation.ColumnBlock` chunks it owns
 resident across requests: a :class:`~repro.service.sharded.rpc.LoadRelation`
 installs them once, and subsequent map tasks name ``(relation, chunk_index,
 version)`` instead of shipping rows.  Chunks arrive as data-plane payloads
@@ -14,11 +15,10 @@ The blocks' memoised key tuples and
 the per-blob job cache stay warm with them, which is the entire point of the
 tier — repeated queries pay neither serialisation nor cache-warmup cost.
 
-The map/combine/size arithmetic is line-for-line the arithmetic of the
-parallel backend's ``_run_map_task`` / ``_run_reduce_task`` (and therefore
-of the serial engine): the sharded tier changes *where* tasks run and what
-stays warm, never what they compute — outputs and simulated metrics must
-stay bit-identical to the serial reference.
+The map/combine/size arithmetic is the serial engine's own recipe: the
+workers change *where* tasks run and what stays warm, never what they
+compute — outputs and simulated metrics must stay bit-identical to the
+serial reference.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class _WorkerState:
         #: relation name -> (version, {global chunk index: resident block}).
         self.relations: Dict[str, Tuple[int, Dict[int, ColumnBlock]]] = {}
         #: Deserialised jobs keyed by their pickle blob (one decode per job
-        #: run, not per task — same memo discipline as the parallel pool).
+        #: run, not per task).
         self.jobs: Dict[bytes, MapReduceJob] = {}
         self.map_tasks = 0
         self.reduce_tasks = 0

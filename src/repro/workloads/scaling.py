@@ -106,7 +106,7 @@ class ScaledEnvironment:
 
         ``name`` is ``"serial"`` or ``"parallel"`` (or an
         :class:`~repro.exec.base.ExecutionBackend` alias); ``workers`` sizes
-        the parallel backend's worker pool.
+        the parallel backend's worker processes.
         """
         return make_backend(
             name, engine=self.engine(mb_per_reducer_input), workers=workers

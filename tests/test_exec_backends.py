@@ -30,13 +30,13 @@ from repro.model.database import Database
 from repro.query.parser import parse_bsgf
 from repro.workloads.queries import bsgf_query_set, database_for, sgf_query
 
-#: Worker count used throughout; small so pools stay cheap on tiny CI boxes.
+#: Worker count used throughout; small so clusters stay cheap on tiny CI boxes.
 WORKERS = 2
 
 
 @pytest.fixture(scope="module")
 def parallel_backend():
-    """One shared pool for the whole module (startup amortised over tests)."""
+    """One shared cluster for the whole module (startup amortised over tests)."""
     backend = ParallelBackend(MapReduceEngine(), workers=WORKERS)
     yield backend
     backend.close()
@@ -109,6 +109,8 @@ class TestMakeBackend:
 
     def test_instance_passthrough(self, parallel_backend):
         assert make_backend(parallel_backend) is parallel_backend
+        # The parallel backend is sized by workers=; shards= is ignored.
+        assert make_backend(parallel_backend, shards=WORKERS + 1) is parallel_backend
 
     def test_instance_conflicts_rejected(self, parallel_backend):
         with pytest.raises(ValueError):
@@ -128,10 +130,13 @@ class TestMakeBackend:
         with pytest.raises(ValueError):
             make_backend("hadoop")
 
-    def test_context_manager_closes_pool(self):
+    def test_context_manager_stops_workers(self):
         with ParallelBackend(workers=1) as backend:
             assert isinstance(backend, ExecutionBackend)
-        assert backend._pool is None
+            assert not backend.cluster.started  # workers start on first use
+            backend.cluster.ping()
+            assert backend.cluster.started
+        assert not backend.cluster.started
 
     def test_options_thread_backend_selection(self):
         options = GumboOptions(backend="parallel", workers=1)
@@ -144,15 +149,16 @@ class TestMakeBackend:
         gumbo = Gumbo(options=GumboOptions(backend="parallel"), backend="serial")
         assert isinstance(gumbo.backend, SimulatedBackend)
 
-    def test_gumbo_context_manager_releases_pool(self):
+    def test_gumbo_context_manager_stops_workers(self):
         with Gumbo(backend="parallel", workers=1) as gumbo:
+            assert not gumbo.backend.cluster.started
             database = Database.from_dict({"R": [(1, 2)], "S": [(1,)]})
             result = gumbo.execute(
                 "Z := SELECT (x, y) FROM R(x, y) WHERE S(x);", database
             )
             assert result.output().tuples() == {(1, 2)}
-            assert gumbo.backend._pool is not None
-        assert gumbo.backend._pool is None
+            assert gumbo.backend.cluster.started
+        assert not gumbo.backend.cluster.started
 
 
 class TestBSGFStrategyParity:

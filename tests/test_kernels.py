@@ -171,7 +171,7 @@ def test_kernel_parity_mixed_type_columns_parallel():
 def test_kernel_parity_nan_values_serial():
     """NaN-bearing relations agree bit for bit between the two paths.
 
-    In-process only: the parallel backend pickles rows per map task, which
+    In-process only: the parallel backend pickles rows to its workers, which
     clones a NaN into distinct objects that no longer compare equal anywhere
     (IEEE NaN inequality, a property of the data model rather than of either
     execution path), so NaN coverage lives on the serial backend.

@@ -334,6 +334,32 @@ class TestShardedParity:
         serial = Gumbo(backend=serial_backend).execute(queries, database, "greedy")
         _assert_results_match(serial, second)
 
+    @pytest.mark.parametrize("name", ["parallel", "sharded"])
+    def test_mutated_copy_reships_only_the_changed_relation(
+        self, name, serial_backend
+    ):
+        """A backend warm on one database, run on a copy whose guard lost
+        rows, re-ships exactly the guard and matches serial on the copy."""
+        queries = bsgf_query_set("A1")
+        database = database_for(queries, guard_tuples=150, selectivity=0.5, seed=2)
+        backend = make_backend(name, workers=SHARDS, shards=SHARDS)
+        try:
+            gumbo = Gumbo(backend=backend)
+            gumbo.execute(queries, database, "greedy")
+            mutated = database.copy()
+            guard = mutated.get("R")
+            for row in sorted(guard.tuples())[::3]:
+                guard.discard(row)
+            assert len(guard) < len(database.get("R"))
+            assert backend.ensure_loaded(mutated) == 1
+            result = gumbo.execute(queries, mutated, "greedy")
+            serial = Gumbo(backend=serial_backend).execute(
+                queries, mutated, "greedy"
+            )
+            _assert_results_match(serial, result)
+        finally:
+            backend.close()
+
     def test_make_backend_by_name(self):
         backend = make_backend("sharded", shards=SHARDS)
         try:
